@@ -84,7 +84,7 @@ use autocc_hdl::{
 };
 use std::io::{BufRead, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -1185,34 +1185,27 @@ fn solve_request<W: Write + Send + 'static>(
 ) -> Result<EngineRun, String> {
     let engine =
         wire_engine(&req.engine).ok_or_else(|| format!("unknown wire engine `{}`", req.engine))?;
-    let done = Arc::new(AtomicBool::new(false));
+    // Dropping `done` wakes the heartbeat thread at once: the result
+    // frame goes out as soon as the solve ends, not after a period.
+    let (done, stop) = mpsc::channel::<()>();
     let heartbeat = {
         let output = Arc::clone(output);
-        let done = Arc::clone(&done);
         let period = Duration::from_millis(req.config.heartbeat_ms);
-        std::thread::spawn(move || {
-            while !done.load(Ordering::Acquire) {
-                let rss = rss_override.map_or_else(current_rss_kb, Some);
-                let frame = match job {
-                    Some(job) => heartbeat_json_tagged(job, rss),
-                    None => heartbeat_json(rss),
-                };
-                let sent = match output.lock() {
-                    Ok(mut out) => write_frame(&mut *out, &frame).is_ok(),
-                    Err(_) => false,
-                };
-                if !sent {
-                    break; // supervisor is gone; nobody left to reassure
-                }
-                // Sleep in short slices so the post-solve join returns
-                // promptly even under long heartbeat periods — the result
-                // frame must not wait out a full period.
-                let mut remaining = period;
-                while !done.load(Ordering::Acquire) && remaining > Duration::ZERO {
-                    let slice = remaining.min(Duration::from_millis(25));
-                    std::thread::sleep(slice);
-                    remaining = remaining.saturating_sub(slice);
-                }
+        std::thread::spawn(move || loop {
+            let rss = rss_override.map_or_else(current_rss_kb, Some);
+            let frame = match job {
+                Some(job) => heartbeat_json_tagged(job, rss),
+                None => heartbeat_json(rss),
+            };
+            let sent = match output.lock() {
+                Ok(mut out) => write_frame(&mut *out, &frame).is_ok(),
+                Err(_) => false,
+            };
+            if !sent {
+                break; // supervisor is gone; nobody left to reassure
+            }
+            if stop.recv_timeout(period) != Err(RecvTimeoutError::Timeout) {
+                break; // the solve side hung up
             }
         })
     };
@@ -1248,7 +1241,7 @@ fn solve_request<W: Write + Send + 'static>(
     if let Some(delay) = result_delay {
         std::thread::sleep(delay);
     }
-    done.store(true, Ordering::Release);
+    drop(done);
     let _ = heartbeat.join();
     Ok(run)
 }
@@ -1502,6 +1495,98 @@ mod tests {
         b.build()
     }
 
+    /// `leaky_module` plus one of each remaining wire section: a
+    /// memory with a write port, and transactions.
+    fn full_module() -> Module {
+        let mut b = ModuleBuilder::new("dev");
+        let valid = b.input("valid", 1);
+        let addr = b.input_common("addr", 2);
+        let data = b.input("data", 4);
+        let mem = b.mem("bank", 4, 4);
+        b.mem_write(mem, valid, addr, data);
+        let word = b.mem_read(mem, addr);
+        let zero = b.lit(4, 0);
+        let clear = b.eq(word, zero);
+        b.output("clear", clear);
+        b.transaction_in("req", "valid", &["addr", "data"]);
+        b.transaction_out("rsp", "clear", &[]);
+        b.build()
+    }
+
+    #[test]
+    fn writer_documents_nest_far_below_the_parse_limit() {
+        use crate::json::MAX_NESTING;
+        use crate::record::{entry_line, JournalEntry};
+        use autocc_bmc::{CheckMode, Trace};
+        use autocc_core::{AutoCcOutcome, CheckReport, CovertChannelCex, PropertyVerdict};
+
+        let m = full_module();
+        let p = m.output_node("clear").unwrap();
+        let props = vec![("clear".to_string(), p)];
+        let config = CheckConfig::default().depth(4).conflicts(Some(9));
+        let request = request_json("bmc", &m, &props, &[p], &config);
+        let trace = Trace::new(vec![vec![Bv::new(1, 1), Bv::new(2, 3), Bv::new(4, 9)]; 3]);
+        let mut run = EngineRun::from(EngineOutcome::Cex(autocc_bmc::Cex {
+            property: "clear".to_string(),
+            depth: 3,
+            trace: trace.clone(),
+        }));
+        run.certificate = CertificateStatus::Certified { hash: 7 };
+        let failed = EngineRun::from(EngineOutcome::Failed(JobFailure {
+            engine: "bmc".to_string(),
+            property: Some("clear".to_string()),
+            depth: 2,
+            reason: FailureReason::Panic,
+            detail: "boom".to_string(),
+            attempts: 1,
+        }));
+        let cex = CovertChannelCex {
+            property: "clear".to_string(),
+            depth: 3,
+            trace,
+            spy_start_cycle: 1,
+            diverging_state: vec![autocc_core::StateDivergence {
+                name: "bank[0]".to_string(),
+                first_diff_cycle: 0,
+                last_diff_cycle: 2,
+                value_a: Bv::new(4, 9),
+                value_b: Bv::new(4, 0),
+            }],
+        };
+        let entry = entry_line(&JournalEntry {
+            key: ContentKey(1),
+            id: "D1".to_string(),
+            mode: CheckMode::Check,
+            engine: "portfolio".to_string(),
+            attempt: 1,
+            report: CheckReport {
+                outcome: AutoCcOutcome::Cex(Box::new(cex)),
+                elapsed: Duration::from_micros(5),
+                stats: Default::default(),
+                verdicts: vec![("clear".to_string(), PropertyVerdict::Cex { depth: 3 })],
+                certificate: CertificateStatus::Certified { hash: 7 },
+            },
+        });
+        let documents = [
+            module_json(&m).to_string_compact(),
+            request.to_string_compact(),
+            job_json(1, Some(500), &request).to_string_compact(),
+            result_json_tagged(1, &run).to_string_compact(),
+            result_json(&failed).to_string_compact(),
+            heartbeat_json_tagged(1, Some(4)).to_string_compact(),
+            entry,
+        ];
+        let deepest = documents
+            .iter()
+            .map(|doc| Json::parse(doc).expect("writer output parses").nesting())
+            .max()
+            .unwrap();
+        assert!(
+            deepest * 8 <= MAX_NESTING,
+            "writers nest {deepest} deep against a limit of {MAX_NESTING}"
+        );
+    }
+
     #[test]
     fn frames_round_trip_through_a_pipe_shaped_buffer() {
         let payload = heartbeat_json(Some(4096));
@@ -1610,16 +1695,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn worker_serves_a_request_end_to_end_in_memory() {
-        let m = leaky_module();
-        let p = m.output_node("small").unwrap();
-        let config = CheckConfig::default().depth(8).no_timeout().certify(true);
-        let wire = request_json("bmc", &m, &[("small".to_string(), p)], &[], &config);
-        let mut request_bytes = Vec::new();
-        write_frame(&mut request_bytes, &wire).unwrap();
-
-        let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+    /// Runs [`serve_worker`] on one encoded request and returns the
+    /// frames it wrote, in order.
+    fn serve_in_memory(request_bytes: &[u8]) -> Vec<WorkerFrame> {
         struct SharedOut(Arc<Mutex<Vec<u8>>>);
         impl Write for SharedOut {
             fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
@@ -1630,18 +1708,62 @@ mod tests {
                 Ok(())
             }
         }
-        let mut input = std::io::BufReader::new(&request_bytes[..]);
+        let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+        let mut input = std::io::BufReader::new(request_bytes);
         serve_worker(&mut input, SharedOut(Arc::clone(&out))).expect("serve");
-
         let bytes = out.lock().unwrap().clone();
         let mut cursor = std::io::BufReader::new(&bytes[..]);
-        let mut result = None;
+        let mut frames = Vec::new();
         while let Some(frame) = read_frame(&mut cursor).unwrap() {
-            match parse_worker_frame(&frame).unwrap() {
-                WorkerFrame::Heartbeat { .. } => {}
-                WorkerFrame::Result(run) => result = Some(run),
-            }
+            frames.push(parse_worker_frame(&frame).unwrap());
         }
+        frames
+    }
+
+    #[test]
+    fn result_frame_does_not_wait_out_the_heartbeat_period() {
+        let m = leaky_module();
+        let p = m.output_node("small").unwrap();
+        let config = CheckConfig::default()
+            .depth(2)
+            .no_timeout()
+            .heartbeat_ms(60_000);
+        let wire = request_json("bmc", &m, &[("small".to_string(), p)], &[], &config);
+        let mut request_bytes = Vec::new();
+        write_frame(&mut request_bytes, &wire).unwrap();
+
+        let started = Instant::now();
+        let frames = serve_in_memory(&request_bytes);
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "a tiny job under a 60 s heartbeat period took {elapsed:?}"
+        );
+        // The first heartbeat still goes out at once, ahead of the result.
+        assert!(
+            matches!(frames.first(), Some(WorkerFrame::Heartbeat { .. })),
+            "first frame is a heartbeat"
+        );
+        assert!(
+            matches!(frames.last(), Some(WorkerFrame::Result(_))),
+            "last frame is the result"
+        );
+    }
+
+    #[test]
+    fn worker_serves_a_request_end_to_end_in_memory() {
+        let m = leaky_module();
+        let p = m.output_node("small").unwrap();
+        let config = CheckConfig::default().depth(8).no_timeout().certify(true);
+        let wire = request_json("bmc", &m, &[("small".to_string(), p)], &[], &config);
+        let mut request_bytes = Vec::new();
+        write_frame(&mut request_bytes, &wire).unwrap();
+
+        let frames = serve_in_memory(&request_bytes);
+        let result = frames.into_iter().find_map(|frame| match frame {
+            WorkerFrame::Result(run) => Some(run),
+            WorkerFrame::Heartbeat { .. } => None,
+        });
         // The device counts to 5 and violates `small`: a CEX at depth 6,
         // exactly what the in-process engine reports.
         let run = result.expect("worker must emit a result frame");

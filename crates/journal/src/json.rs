@@ -10,6 +10,14 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets a small hostile
+/// frame (a megabyte of `[`) overflow the reading thread's stack; past
+/// this depth the parse fails instead. Every document the writers emit
+/// (journal records, wire modules and requests) nests a handful of
+/// levels deep.
+pub const MAX_NESTING: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -57,6 +65,16 @@ impl Json {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
+        }
+    }
+
+    /// How many arrays and objects deep the value nests (a scalar is 0).
+    #[cfg(test)]
+    pub(crate) fn nesting(&self) -> usize {
+        match self {
+            Json::Arr(items) => 1 + items.iter().map(Json::nesting).max().unwrap_or(0),
+            Json::Obj(fields) => 1 + fields.iter().map(|(_, v)| v.nesting()).max().unwrap_or(0),
+            _ => 0,
         }
     }
 
@@ -112,6 +130,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -145,6 +164,7 @@ fn write_json_str(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -186,8 +206,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'0'..=b'9') => self.number(),
             Some(b) => Err(format!(
                 "unexpected byte `{}` at {}",
@@ -196,6 +216,21 @@ impl<'a> Parser<'a> {
             )),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses one array or object one level deeper, failing past
+    /// [`MAX_NESTING`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!(
+                "nesting deeper than {MAX_NESTING} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -256,14 +291,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar. The input is a `&str` and
-                    // the parser only advances over whole scalars, so the
-                    // tail is always valid UTF-8.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next `"` or `\`. Both
+                    // delimiters are ASCII, so the run ends on a scalar
+                    // boundary and validating it costs only its own length.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos])
+                            .map_err(|_| format!("invalid UTF-8 at byte {start}"))?,
+                    );
                 }
             }
         }
@@ -365,5 +403,107 @@ mod tests {
     fn whitespace_is_tolerated() {
         let v = Json::parse(" { \"a\" : [ 1 , 2 ] } ").unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 2);
+    }
+
+    fn parse_str(input: &str) -> String {
+        match Json::parse(input) {
+            Ok(Json::Str(s)) => s,
+            other => panic!("{input:?} parsed to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn string_runs_keep_multibyte_utf8() {
+        assert_eq!(parse_str("\"é漢\""), "é漢");
+        assert_eq!(parse_str("\"aé漢z\""), "aé漢z");
+        assert_eq!(parse_str("\"漢\\n漢\""), "漢\n漢");
+    }
+
+    #[test]
+    fn escapes_next_to_runs() {
+        assert_eq!(parse_str(r#""a\"b\\c\u0001d""#), "a\"b\\c\u{1}d");
+        assert_eq!(parse_str(r#""\"\\""#), "\"\\");
+        assert_eq!(parse_str(r#""\u00e9x""#), "éx");
+    }
+
+    #[test]
+    fn empty_strings_parse() {
+        assert_eq!(parse_str("\"\""), "");
+        let v = Json::parse(r#"{"":["",""]}"#).unwrap();
+        assert_eq!(v.get("").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
+    }
+
+    #[test]
+    fn unterminated_string_after_a_long_run_is_an_error() {
+        let input = format!("\"{}", "x".repeat(100_000));
+        assert!(Json::parse(&input).unwrap_err().contains("unterminated"));
+        let input = format!("\"{}\\", "é".repeat(1_000));
+        assert!(Json::parse(&input).is_err());
+    }
+
+    #[test]
+    fn strings_round_trip_through_write() {
+        for s in [
+            "",
+            "é漢",
+            "a\"b\\c\u{1}d",
+            "\"",
+            "\\",
+            "tail\n",
+            "\u{1f}漢\t\r/",
+            &"run".repeat(1_000),
+        ] {
+            round_trip(&Json::Str(s.to_string()));
+            round_trip(&Json::Obj(vec![(s.to_string(), Json::Str(s.to_string()))]));
+        }
+    }
+
+    #[test]
+    fn string_scan_is_linear() {
+        // About 6 MB of strings: plain runs, multi-byte text and escapes.
+        // Re-validating the rest of the document per character took
+        // minutes on this; a linear scan takes well under a second.
+        let item = format!("{}é漢\"\\{}", "x".repeat(200), "y".repeat(60));
+        let doc = Json::Arr(vec![Json::Str(item); 20_000]);
+        let text = doc.to_string_compact();
+        assert!(text.len() > 5_000_000);
+        let started = std::time::Instant::now();
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(20),
+            "parsing {} bytes took {elapsed:?}",
+            text.len()
+        );
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses_and_one_deeper_fails() {
+        let at = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert_eq!(Json::parse(&at).unwrap().nesting(), MAX_NESTING);
+        let over = format!("[{at}]");
+        assert!(Json::parse(&over).unwrap_err().contains("nesting"));
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_NESTING + 1),
+            "}".repeat(MAX_NESTING + 1)
+        );
+        assert!(Json::parse(&objects).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn deep_nesting_fails_closed_on_a_reader_thread() {
+        // The shape of a hostile frame: far under the frame-size cap, far
+        // over any stack. Parsed on a spawned thread (default stack) as
+        // the supervisor's frame readers do.
+        let verdicts = std::thread::spawn(|| {
+            [
+                Json::parse(&"[".repeat(1_000_000)).is_err(),
+                Json::parse(&"{\"k\":".repeat(200_000)).is_err(),
+            ]
+        })
+        .join()
+        .expect("parsing must not overflow the stack");
+        assert_eq!(verdicts, [true, true]);
     }
 }

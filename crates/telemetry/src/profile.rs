@@ -404,9 +404,15 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting the profile reader accepts. The reader
+/// recurses once per level, so past this depth it fails instead of
+/// overflowing the stack. Emitted profiles nest four levels deep.
+const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -414,6 +420,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -456,8 +463,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'0'..=b'9') => self.number(),
             Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
@@ -465,6 +472,18 @@ impl<'a> Parser<'a> {
             Some(b'n') if self.eat_literal("null") => Ok(Json::Null),
             _ => Err(self.error("expected a value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, failing past
+    /// [`MAX_NESTING`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -555,12 +574,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("bad UTF-8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run up to the next `"` or `\`. Both
+                    // delimiters are ASCII, so the run ends on a code point
+                    // boundary and validating it costs only its own length.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.error("bad UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -825,6 +848,122 @@ mod tests {
         let json = RunProfile::from_spans(spans).to_json();
         let summary = validate_profile_json(&json).expect("escaped names parse back");
         assert_eq!(summary.span_count, 1);
+    }
+
+    fn parse_str(input: &str) -> String {
+        match parse_json(input) {
+            Ok(Json::Str(s)) => s,
+            other => panic!("{input:?} parsed to {other:?}"),
+        }
+    }
+
+    fn nesting(v: &Json) -> usize {
+        match v {
+            Json::Array(items) => 1 + items.iter().map(nesting).max().unwrap_or(0),
+            Json::Object(fields) => 1 + fields.iter().map(|(_, v)| nesting(v)).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn string_runs_keep_multibyte_utf8() {
+        assert_eq!(parse_str("\"é漢\""), "é漢");
+        assert_eq!(parse_str("\"aé漢z\""), "aé漢z");
+        assert_eq!(parse_str("\"漢\\n漢\""), "漢\n漢");
+    }
+
+    #[test]
+    fn escapes_next_to_runs() {
+        assert_eq!(parse_str(r#""a\"b\\c\u0001d""#), "a\"b\\c\u{1}d");
+        assert_eq!(parse_str(r#""\"\\""#), "\"\\");
+        assert_eq!(parse_str(r#""\u00e9x""#), "éx");
+    }
+
+    #[test]
+    fn empty_strings_parse() {
+        assert_eq!(parse_str("\"\""), "");
+        let v = parse_json(r#"{"":["",""]}"#).unwrap();
+        assert_eq!(v.get("").and_then(Json::array).map(<[Json]>::len), Some(2));
+    }
+
+    #[test]
+    fn unterminated_string_after_a_long_run_is_an_error() {
+        let input = format!("\"{}", "x".repeat(100_000));
+        assert!(parse_json(&input).unwrap_err().contains("unterminated"));
+        let input = format!("\"{}\\", "é".repeat(1_000));
+        assert!(parse_json(&input).is_err());
+    }
+
+    #[test]
+    fn strings_round_trip_through_the_writer() {
+        for s in [
+            "",
+            "é漢",
+            "a\"b\\c\u{1}d",
+            "\"",
+            "\\",
+            "tail\n",
+            "\u{1f}漢\t\r/",
+            &"run".repeat(1_000),
+        ] {
+            assert_eq!(parse_str(&json_str(s)), s);
+        }
+    }
+
+    #[test]
+    fn string_scan_is_linear() {
+        // About 6 MB of strings: plain runs, multi-byte text and escapes.
+        // Re-validating the rest of the document per character took
+        // minutes on this; a linear scan takes well under a second.
+        let item = json_str(&format!("{}é漢\"\\{}", "x".repeat(200), "y".repeat(60)));
+        let text = format!("[{}]", vec![item; 20_000].join(","));
+        assert!(text.len() > 5_000_000);
+        let started = std::time::Instant::now();
+        let parsed = parse_json(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.array().map(<[Json]>::len), Some(20_000));
+        assert!(
+            elapsed < std::time::Duration::from_secs(20),
+            "parsing {} bytes took {elapsed:?}",
+            text.len()
+        );
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses_and_one_deeper_fails() {
+        let at = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert_eq!(nesting(&parse_json(&at).unwrap()), MAX_NESTING);
+        let over = format!("[{at}]");
+        assert!(parse_json(&over).unwrap_err().contains("nesting"));
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_NESTING + 1),
+            "}".repeat(MAX_NESTING + 1)
+        );
+        assert!(parse_json(&objects).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn deep_nesting_fails_closed_on_a_spawned_thread() {
+        let verdicts = std::thread::spawn(|| {
+            [
+                validate_profile_json(&"[".repeat(1_000_000)).is_err(),
+                validate_profile_json(&"{\"k\":".repeat(200_000)).is_err(),
+            ]
+        })
+        .join()
+        .expect("parsing must not overflow the stack");
+        assert_eq!(verdicts, [true, true]);
+    }
+
+    #[test]
+    fn emitted_profiles_nest_far_below_the_limit() {
+        let doc = parse_json(&sample_profile().to_json()).unwrap();
+        let depth = nesting(&doc);
+        assert!(
+            depth * 8 <= MAX_NESTING,
+            "profiles nest {depth} deep against a limit of {MAX_NESTING}"
+        );
     }
 
     #[test]
