@@ -162,6 +162,7 @@ impl UnsatCertifier {
         let result = self.check(solver, assumptions);
         self.check_us += start.elapsed().as_micros() as u64;
         span.gauge("proof_steps", self.checker.steps());
+        span.gauge("rup_fallbacks", self.checker.rup_fallbacks());
         span.gauge("cert_check_us", self.check_us);
         span.close();
         result

@@ -123,7 +123,10 @@ fn tampered_proof_stream_degrades_to_failed_certification() {
     }
     // Inject a clause no resolution chain derives (a unit over a fresh
     // variable): the next certification pass must reject the transcript.
-    bmc.inject_proof_step_for_test(ProofStep::Add(vec![Lit::new(Var::from_index(4000), true)]));
+    bmc.inject_proof_step_for_test(ProofStep::Add(
+        vec![Lit::new(Var::from_index(4000), true)],
+        Vec::new(),
+    ));
     match bmc.check(&config.clone().depth(4)) {
         CheckOutcome::Failed(failure) => {
             assert_eq!(failure.reason, FailureReason::Certification);
@@ -167,5 +170,111 @@ fn falsifier_demotion_drops_the_certificate() {
         run.certificate,
         CertificateStatus::Uncertified,
         "an inconclusive (demoted) outcome carries no certificate"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Paper miters: every lemma checks along its hints
+// ---------------------------------------------------------------------
+
+use autocc_bench::maple_testbench;
+use autocc_core::{CheckReport, FpvTestbench, FtSpec};
+use autocc_duts::demo::config_device;
+use autocc_duts::maple::MapleConfig;
+use autocc_telemetry::{ProfileRecorder, Telemetry};
+use std::sync::Arc;
+
+/// The `config-device-fixed` testbench: the demo device with a working
+/// flush, strengthened so k-induction closes a full proof.
+fn config_device_fixed(dut: &Module) -> FpvTestbench {
+    FtSpec::new(dut)
+        .flush_done(|b, _ua, _ub| b.input_node("flush").expect("common flush"))
+        .state_equality_invariants()
+        .generate()
+}
+
+/// Runs `run` under a certifying, profiled config and returns the report
+/// with the `(proof_steps, rup_fallbacks)` gauges of every
+/// `certify-unsat` span.
+fn certified_run(
+    depth: usize,
+    run: impl FnOnce(&CheckConfig) -> CheckReport,
+) -> (CheckReport, Vec<(u64, u64)>) {
+    let recorder = Arc::new(ProfileRecorder::new());
+    let config = CheckConfig::default()
+        .depth(depth)
+        .no_timeout()
+        .certify(true)
+        .telemetry(Telemetry::root(recorder.clone(), "certify-test"));
+    let report = run(&config);
+    let gauge = |span: &autocc_telemetry::ProfileSpan, key: &str| {
+        span.gauges
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("certify-unsat span lacks {key}"))
+    };
+    let spans = recorder
+        .profile()
+        .spans
+        .iter()
+        .filter(|s| s.name == "certify-unsat")
+        .map(|s| (gauge(s, "proof_steps"), gauge(s, "rup_fallbacks")))
+        .collect();
+    (report, spans)
+}
+
+fn assert_hinted(what: &str, spans: &[(u64, u64)]) {
+    assert!(!spans.is_empty(), "{what}: no UNSAT solve was certified");
+    assert!(
+        spans.iter().any(|&(steps, _)| steps > 0),
+        "{what}: no proof steps were checked"
+    );
+    for &(steps, fallbacks) in spans {
+        assert_eq!(
+            fallbacks, 0,
+            "{what}: {fallbacks} of the lemmas in {steps} steps needed full RUP"
+        );
+    }
+}
+
+#[test]
+fn config_device_fixed_proof_checks_every_lemma_along_its_hints() {
+    let dut = config_device(true);
+    let tb = config_device_fixed(&dut);
+    let (report, spans) = certified_run(8, |c| tb.prove_portfolio(c));
+    assert!(
+        report.certificate.is_certified(),
+        "{:?} / {:?}",
+        report.outcome,
+        report.certificate
+    );
+    assert_hinted("config-device-fixed prove", &spans);
+}
+
+#[test]
+fn maple_all_fixed_bounded_check_checks_every_lemma_along_its_hints() {
+    let tb = maple_testbench(&MapleConfig::all_fixed());
+    let (report, spans) = certified_run(6, |c| tb.check_portfolio(c));
+    assert!(
+        report.certificate.is_certified(),
+        "{:?} / {:?}",
+        report.outcome,
+        report.certificate
+    );
+    assert_hinted("MAPLE all-fixed check", &spans);
+}
+
+/// Certificates hash step tags and literals only, never hints. The
+/// pinned value is the one builds without hint checking produce for
+/// this check, so certified journals they wrote keep resuming certified.
+#[test]
+fn certificate_hash_is_pinned() {
+    let dut = config_device(true);
+    let tb = config_device_fixed(&dut);
+    let (report, _) = certified_run(8, |c| tb.prove_portfolio(c));
+    assert_eq!(
+        report.certificate.hash().map(|h| format!("{h:016x}")),
+        Some("232e99d6efbab4e4".to_string()),
     );
 }

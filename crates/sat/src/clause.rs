@@ -12,7 +12,7 @@ pub struct ClauseRef(u32);
 
 impl ClauseRef {
     #[inline]
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }

@@ -91,6 +91,42 @@ struct Watcher {
     blocker: Lit,
 }
 
+/// Proof-logging state. It exists only while logging is on, so an
+/// uncertified search carries none of it.
+struct ProofLog {
+    /// Steps logged since the last drain.
+    steps: Vec<ProofStep>,
+    /// Id of the next `Original`/`Add` step: those steps are numbered in
+    /// transcript order from 0, across drains, exactly as
+    /// [`crate::DratChecker`] numbers the steps it applies.
+    next_id: u64,
+    /// Step id of each stored clause, indexed by [`ClauseRef`] slot.
+    clause_ids: Vec<u64>,
+    /// Trail position of each assigned variable.
+    trail_pos: Vec<u32>,
+}
+
+impl ProofLog {
+    /// Logs a step; returns the id an `Original`/`Add` step takes.
+    fn push(&mut self, step: ProofStep) -> u64 {
+        let id = self.next_id;
+        if !matches!(step, ProofStep::Delete(_)) {
+            self.next_id += 1;
+        }
+        self.steps.push(step);
+        id
+    }
+
+    /// Records that the clause stored at `cref` is step `id`.
+    fn bind(&mut self, cref: ClauseRef, id: u64) {
+        let i = cref.index();
+        if self.clause_ids.len() <= i {
+            self.clause_ids.resize(i + 1, 0);
+        }
+        self.clause_ids[i] = id;
+    }
+}
+
 /// Read-only mid-search observer installed with
 /// [`Solver::set_progress_hook`]; sees a [`Stats`] snapshot at every
 /// deadline/interrupt poll.
@@ -160,10 +196,11 @@ pub struct Solver {
     /// Conflicts since the last poll.
     conflicts_since_poll: u64,
     stats: Stats,
-    /// DRAT transcript buffer; `None` while proof logging is disabled.
-    /// Logging only appends to this buffer, so search behaviour (and every
-    /// statistic) is bit-identical with or without it.
-    proof: Option<Vec<ProofStep>>,
+    /// DRAT transcript state; `None` while proof logging is disabled.
+    /// Logging only appends to it, so search behaviour (and every
+    /// statistic) is bit-identical with or without it. Boxed so the
+    /// solver an uncertified search runs stays as small as without it.
+    proof: Option<Box<ProofLog>>,
     /// Certificate clause of the most recent [`SolveResult::Unsat`] answer:
     /// the negation of the failed-assumption core (empty for unconditional
     /// unsatisfiability). `None` after any other answer — in particular a
@@ -234,7 +271,25 @@ impl Solver {
             return;
         }
         let originals = self.dump_original();
-        self.proof = Some(originals.into_iter().map(ProofStep::Original).collect());
+        let mut log = ProofLog {
+            steps: Vec::with_capacity(originals.len()),
+            next_id: 0,
+            clause_ids: Vec::new(),
+            trail_pos: vec![0; self.num_vars()],
+        };
+        for (pos, l) in self.trail.iter().enumerate() {
+            log.trail_pos[l.var().index()] = pos as u32;
+        }
+        // `dump_original` lists the root units, then every stored clause
+        // (all original: no search has happened) in `iter_refs` order.
+        let units = originals.len() - self.clauses.len();
+        for (cref, id) in self.clauses.iter_refs().zip(units as u64..) {
+            log.bind(cref, id);
+        }
+        for c in originals {
+            log.push(ProofStep::Original(c));
+        }
+        self.proof = Some(Box::new(log));
     }
 
     /// Whether DRAT proof logging is enabled.
@@ -247,7 +302,7 @@ impl Solver {
     /// [`crate::DratChecker`] that persists across drains.
     pub fn take_proof_steps(&mut self) -> Vec<ProofStep> {
         match &mut self.proof {
-            Some(buf) => std::mem::take(buf),
+            Some(log) => std::mem::take(&mut log.steps),
             None => Vec::new(),
         }
     }
@@ -262,12 +317,13 @@ impl Solver {
     }
 
     /// Appends an arbitrary step to the proof transcript (no-op while
-    /// logging is disabled). Test hook for tamper-rejection coverage; never
-    /// called by the solver itself.
+    /// logging is disabled). An injected `Original`/`Add` takes a step id,
+    /// so later hints stay aligned with the checker's numbering. Test hook
+    /// for tamper-rejection coverage; never called by the solver itself.
     #[doc(hidden)]
     pub fn inject_proof_step(&mut self, step: ProofStep) {
-        if let Some(buf) = &mut self.proof {
-            buf.push(step);
+        if let Some(log) = &mut self.proof {
+            log.push(step);
         }
     }
 
@@ -282,6 +338,9 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
+        if let Some(log) = &mut self.proof {
+            log.trail_pos.push(0);
+        }
         self.order.reserve_vars(self.assigns.len());
         self.order.insert(v, &self.activity);
         v
@@ -422,9 +481,10 @@ impl Solver {
         // Log the deduplicated clause *before* root-level stripping: the
         // checker re-derives the stripped literals' falsity itself, so the
         // stored (stripped) clause propagates identically on its side.
-        if let Some(buf) = &mut self.proof {
-            buf.push(ProofStep::Original(sorted));
-        }
+        let id = self
+            .proof
+            .as_mut()
+            .map(|log| log.push(ProofStep::Original(sorted)));
         match cleaned.len() {
             0 => {
                 self.ok = false;
@@ -437,6 +497,9 @@ impl Solver {
             }
             _ => {
                 let cref = self.clauses.insert(cleaned, false, 0);
+                if let (Some(log), Some(id)) = (&mut self.proof, id) {
+                    log.bind(cref, id);
+                }
                 self.attach(cref);
                 true
             }
@@ -472,6 +535,9 @@ impl Solver {
         self.assigns[vi] = LBool::from_bool(l.is_positive());
         self.levels[vi] = self.decision_level() as u32;
         self.reasons[vi] = reason;
+        if let Some(log) = &mut self.proof {
+            log.trail_pos[vi] = self.trail.len() as u32;
+        }
         self.trail.push(l);
     }
 
@@ -581,14 +647,25 @@ impl Solver {
     }
 
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, mut confl: ClauseRef) -> (Vec<Lit>, usize) {
+    /// literal first), the backjump level, and — while proof logging is
+    /// on — the step ids of the clauses its derivation propagates (see
+    /// [`ProofStep::Add`]; empty otherwise).
+    fn analyze(&mut self, mut confl: ClauseRef) -> (Vec<Lit>, usize, Vec<u64>) {
         let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder slot
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
+        let logging = self.proof.is_some();
+        // The conflict clause, then the reasons of the resolved
+        // current-level literals, latest on the trail first.
+        let mut resolved: Vec<ClauseRef> = Vec::new();
+        // Variables dropped by minimisation.
+        let mut removed: Vec<Var> = Vec::new();
 
         loop {
+            if logging {
+                resolved.push(confl);
+            }
             if self.clauses.get(confl).learnt {
                 self.bump_clause(confl);
             }
@@ -645,6 +722,8 @@ impl Solver {
             if !redundant {
                 learnt[j] = l;
                 j += 1;
+            } else if logging {
+                removed.push(l.var());
             }
         }
         learnt.truncate(j);
@@ -666,7 +745,26 @@ impl Solver {
             learnt.swap(1, max_i);
             self.levels[learnt[1].var().index()] as usize
         };
-        (learnt, bt_level)
+        let hints = match &self.proof {
+            None => Vec::new(),
+            // Trail order, so each hinted clause is unit once the ones
+            // before it have propagated: the minimised literals (all below
+            // the conflict level), the resolved current-level reasons,
+            // then the conflict itself. Level-0 literals need no hint —
+            // the checker's root assignment already holds them.
+            Some(log) => {
+                removed.sort_unstable_by_key(|v| log.trail_pos[v.index()]);
+                let reasons = &self.reasons;
+                removed
+                    .iter()
+                    .map(|v| reasons[v.index()].expect("minimised literal has a reason"))
+                    .chain(resolved[1..].iter().rev().copied())
+                    .chain(std::iter::once(resolved[0]))
+                    .map(|cref| log.clause_ids[cref.index()])
+                    .collect()
+            }
+        };
+        (learnt, bt_level, hints)
     }
 
     /// Computes the subset of assumptions responsible for falsifying the
@@ -747,11 +845,8 @@ impl Solver {
             if i < keep_from || locked || c.len() <= 2 || c.lbd <= 2 {
                 kept.push(cref);
             } else {
-                if self.proof.is_some() {
-                    let lits = self.clauses.get(cref).lits().to_vec();
-                    if let Some(buf) = &mut self.proof {
-                        buf.push(ProofStep::Delete(lits));
-                    }
+                if let Some(log) = &mut self.proof {
+                    log.push(ProofStep::Delete(self.clauses.get(cref).lits().to_vec()));
                 }
                 self.detach(cref);
                 self.clauses.remove(cref);
@@ -869,8 +964,8 @@ impl Solver {
                     self.analyze_final_conflict(confl);
                     return SearchOutcome::Unsat;
                 }
-                let (learnt, bt) = self.analyze(confl);
-                self.backjump_and_learn(learnt, bt);
+                let (learnt, bt, hints) = self.analyze(confl);
+                self.backjump_and_learn(learnt, bt, hints);
                 self.var_inc /= VAR_DECAY;
                 self.clause_inc /= CLAUSE_DECAY;
 
@@ -925,12 +1020,14 @@ impl Solver {
         }
     }
 
-    fn backjump_and_learn(&mut self, learnt: Vec<Lit>, bt_level: usize) {
+    fn backjump_and_learn(&mut self, learnt: Vec<Lit>, bt_level: usize, hints: Vec<u64>) {
         // Every learnt clause — including root-level units — is a trivial
-        // resolvent of live clauses, hence RUP: log it as a DRAT addition.
-        if let Some(buf) = &mut self.proof {
-            buf.push(ProofStep::Add(learnt.clone()));
-        }
+        // resolvent of live clauses, hence RUP: log it as a DRAT addition
+        // with its derivation as hints.
+        let id = self
+            .proof
+            .as_mut()
+            .map(|log| log.push(ProofStep::Add(learnt.clone(), hints)));
         self.cancel_until(bt_level);
         if learnt.len() == 1 {
             self.unchecked_enqueue(learnt[0], None);
@@ -938,6 +1035,9 @@ impl Solver {
             let lbd = self.lbd(&learnt);
             let asserting = learnt[0];
             let cref = self.clauses.insert(learnt, true, lbd);
+            if let (Some(log), Some(id)) = (&mut self.proof, id) {
+                log.bind(cref, id);
+            }
             self.attach(cref);
             self.learnts.push(cref);
             self.stats.learnt_clauses = self.learnts.len() as u64;
@@ -1276,6 +1376,11 @@ mod tests {
             let steps = s.take_proof_steps();
             assert!(!steps.is_empty() || checker.steps() > 0, "transcript empty");
             checker.apply_all(&steps).expect("transcript must check");
+            assert_eq!(
+                checker.rup_fallbacks(),
+                0,
+                "every lemma checks along its hints"
+            );
             let cert = s
                 .unsat_certificate()
                 .expect("Unsat answers carry a certificate")
@@ -1428,10 +1533,45 @@ mod tests {
             let b = s.new_var().positive();
             s.add_clause(&[a, b]);
             // A clause no resolution derives: the checker must refuse it.
-            s.inject_proof_step(ProofStep::Add(vec![!b]));
+            s.inject_proof_step(ProofStep::Add(vec![!b], Vec::new()));
             let steps = s.take_proof_steps();
             let mut checker = DratChecker::new();
             assert!(checker.apply_all(&steps).is_err());
+        }
+
+        #[test]
+        fn injected_steps_keep_later_hints_aligned() {
+            let base = pigeonhole(6);
+            let mut s = Solver::new();
+            s.enable_proof_logging();
+            for _ in 0..base.num_vars() {
+                s.new_var();
+            }
+            let originals = base.dump_original();
+            for c in &originals {
+                s.add_clause(c);
+            }
+            // A valid lemma (a copy of an input clause) and an axiom, both
+            // taking step ids the solver never stores.
+            s.inject_proof_step(ProofStep::Add(originals[0].clone(), Vec::new()));
+            s.inject_proof_step(ProofStep::Original(originals[1].clone()));
+            assert_eq!(s.solve(), SolveResult::Unsat);
+            let steps = s.take_proof_steps();
+            let lemmas = steps
+                .iter()
+                .filter(|st| matches!(st, ProofStep::Add(..)))
+                .count();
+            assert!(
+                lemmas > 10,
+                "the solve must learn clauses after the injection"
+            );
+            let mut checker = DratChecker::new();
+            checker.apply_all(&steps).expect("transcript must check");
+            assert_eq!(
+                checker.rup_fallbacks(),
+                1,
+                "only the unhinted injected lemma needs full RUP"
+            );
         }
 
         #[test]

@@ -1,6 +1,8 @@
 //! Differential tests: CDCL vs exhaustive enumeration on random formulas.
 
-use autocc_sat::{check_model, solve_brute_force, Cnf, DratChecker, Lit, SolveResult, Solver, Var};
+use autocc_sat::{
+    check_model, solve_brute_force, Cnf, DratChecker, Lit, ProofStep, SolveResult, Solver, Var,
+};
 use proptest::prelude::*;
 
 /// Strategy producing a random CNF with up to `max_vars` variables.
@@ -93,7 +95,9 @@ proptest! {
     /// SAT answer must return a model `check_model` accepts. Solves run as
     /// an incremental sequence (assumptions, then unconditioned) against
     /// one persistent checker, covering the learnt-clause minimisation and
-    /// incremental paths where a logging gap would hide.
+    /// incremental paths where a logging gap would hide. A second checker
+    /// sees the same transcript with its hints stripped: both must accept,
+    /// and the hinted one must never fall back to full RUP.
     #[test]
     fn proofs_certify_every_unsat(
         cnf in arb_cnf(9, 36),
@@ -112,6 +116,7 @@ proptest! {
             .collect();
 
         let mut checker = DratChecker::new();
+        let mut unhinted = DratChecker::new();
         for pass in 0..2 {
             let asms: Vec<Lit> = if pass == 0 { assumptions.clone() } else { Vec::new() };
             let result = solver.solve_with(&asms);
@@ -119,6 +124,10 @@ proptest! {
             let steps = solver.take_proof_steps();
             if let Err(e) = checker.apply_all(&steps) {
                 prop_assert!(false, "transcript rejected on pass {pass}: {e}");
+            }
+            prop_assert_eq!(checker.rup_fallbacks(), 0, "a hinted lemma fell back to RUP");
+            if let Err(e) = unhinted.apply_all(&strip_hints(steps)) {
+                prop_assert!(false, "hint-stripped transcript rejected on pass {pass}: {e}");
             }
             match result {
                 SolveResult::Sat => {
@@ -142,6 +151,9 @@ proptest! {
                         .to_vec();
                     if let Err(e) = checker.check_certificate(&asms, &cert) {
                         prop_assert!(false, "certificate rejected on pass {pass}: {e}");
+                    }
+                    if let Err(e) = unhinted.check_certificate(&asms, &cert) {
+                        prop_assert!(false, "certificate rejected without hints on pass {pass}: {e}");
                     }
                 }
                 SolveResult::Unknown | SolveResult::Stopped => {
@@ -175,6 +187,17 @@ proptest! {
         };
         prop_assert_eq!(solver.solve(), expected);
     }
+}
+
+/// The transcript as a plain DRAT checker would see it: no hints.
+fn strip_hints(steps: Vec<ProofStep>) -> Vec<ProofStep> {
+    steps
+        .into_iter()
+        .map(|s| match s {
+            ProofStep::Add(lits, _) => ProofStep::Add(lits, Vec::new()),
+            other => other,
+        })
+        .collect()
 }
 
 /// Regression: minimised-away literals must not leave stale `seen` bits.
